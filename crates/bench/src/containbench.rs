@@ -18,11 +18,12 @@
 //!   relative to the round-trip it tries to save.
 //!
 //! `cargo run -p iixml-bench --bin report -- --bench-contain` runs this
-//! and writes the JSON to the repo root; `--quick` shrinks the catalog
-//! for CI smoke runs; `--diff-contain OLD NEW` gates the committed
+//! and writes the JSON to the workspace root; `--quick` shrinks the
+//! catalog for CI smoke runs; `--diff OLD NEW` gates the committed
 //! trajectory with the same floor-clamp rule as the other benches.
 
-use crate::parbench::median_ns;
+use crate::gates::with_gates;
+use crate::harness::median_ns;
 use iixml_contain::AnswerCache;
 use iixml_core::io::write_incomplete_xml;
 use iixml_gen::{catalog, catalog_query_price_below, random_queries, Catalog};
@@ -30,6 +31,16 @@ use iixml_obs::json::Json;
 use iixml_query::{Answer, PsQuery};
 use iixml_tree::DataTree;
 use iixml_webhouse::{Session, Source};
+
+/// The gates `BENCH_contain.json` carries (see [`crate::gates`]).
+pub const GATES: &str = r#"[
+  {"metric": "fetch_reduction", "rule": "at_least", "blessed": 0.3, "scope": "both",
+   "claim": "source round-trips removed by the containment cache"},
+  {"metric": "check_overhead_ratio", "rule": "below", "blessed": 0.05, "scope": "both",
+   "claim": "containment lookup cost vs a cache-miss fetch"},
+  {"metric": "bytes_identical", "rule": "equals", "blessed": 1.0, "scope": "both",
+   "claim": "answers and knowledge identical with the cache on and off"}
+]"#;
 
 /// The full containment-cache report.
 pub struct ContainReport {
@@ -202,7 +213,7 @@ impl ContainReport {
 
     /// The machine-readable form committed as `BENCH_contain.json`.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let doc = Json::obj()
             .set("pr", 10u64)
             .set("quick", self.quick)
             .set("products", self.products)
@@ -215,51 +226,8 @@ impl ContainReport {
             .set("bytes_identical", u64::from(self.bytes_identical))
             .set("check_ns", self.check_ns)
             .set("miss_fetch_ns", self.miss_fetch_ns)
-            .set("check_overhead_ratio", self.check_overhead_ratio())
-    }
-
-    /// Prints the human-readable table.
-    pub fn print_table(&self) {
-        println!(
-            "containment cache ({} run; {} products, {} queries in the mix)",
-            if self.quick { "quick" } else { "full" },
-            self.products,
-            self.mix_len
-        );
-        println!(
-            "  source fetches   off {:>4}   on {:>4}   reduction {:.0}%",
-            self.fetches_off,
-            self.fetches_on,
-            100.0 * self.fetch_reduction()
-        );
-        println!(
-            "  cache traffic    {} checks, {} hits",
-            self.checks, self.hits
-        );
-        println!(
-            "  byte identity    {}",
-            if self.bytes_identical {
-                "answers and knowledge identical with cache on/off"
-            } else {
-                "DIVERGED — cache is unsound on this mix"
-            }
-        );
-        println!(
-            "  check overhead   {} per lookup vs {} per miss fetch ({:.2}% of a round-trip)",
-            crate::harness::fmt_ns(self.check_ns),
-            crate::harness::fmt_ns(self.miss_fetch_ns),
-            100.0 * self.check_overhead_ratio()
-        );
-    }
-
-    /// Writes `BENCH_contain.json` at the repo root; returns the path.
-    pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()?
-            .join("BENCH_contain.json");
-        std::fs::write(&path, self.to_json().render_pretty() + "\n")?;
-        Ok(path)
+            .set("check_overhead_ratio", self.check_overhead_ratio());
+        with_gates(doc, &[GATES])
     }
 }
 

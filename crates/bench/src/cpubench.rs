@@ -1,5 +1,5 @@
-//! CPU-kernel scaling before/after ID-interning and the
-//! `BENCH_cpu.json` emitter.
+//! CPU-kernel scaling before/after ID-interning, the 16-source
+//! fan-out, and the `BENCH_cpu.json` emitter.
 //!
 //! Two CPU-bound kernels are measured at 1/2/4/8 worker threads
 //! (`iixml_par::set_threads`), each in two variants:
@@ -19,17 +19,25 @@
 //! single-core CI runners where thread scaling physically cannot show.
 //! On multi-core hosts the 4-thread post-speedup gates too.
 //!
-//! `cargo run -p iixml-bench --bin report -- --bench-cpu` runs these and
-//! writes the JSON to the repo root; `--quick` shrinks workloads and
-//! sample counts for CI smoke runs; `--diff-cpu OLD NEW` gates the
-//! committed trajectory with the same floor-clamped rule as the store
-//! and serve benches.
+//! The third group, `fanout16`, fans one query out over 16
+//! latency-simulating sources at the same widths. It is wait-bound, so
+//! its ≥1.5x 4-thread gate holds even on a single core: sleeping
+//! sources overlap regardless of CPU count.
+//!
+//! `cargo run -p iixml-bench --bin report -- --bench-cpu` runs these,
+//! writes the JSON to the workspace root, and applies the in-run gates
+//! (see [`GATES`]); `--quick` shrinks workloads and sample counts for
+//! CI smoke runs.
 
-use crate::parbench::{median_ns, THREADS};
+use crate::gates::with_gates;
+use crate::harness::{median_ns, THREADS};
 use crate::refine_blowup_tree;
 use iixml_obs::json::Json;
+use iixml_webhouse::{LatentSource, Source, Webhouse};
+use std::time::Duration;
 
-/// One kernel: pre/post medians (ns) per worker width.
+/// One measured kernel: pre/post medians (ns) per worker width.
+#[derive(Default)]
 pub struct KernelResult {
     /// Stable kernel key (also the JSON key).
     pub name: &'static str,
@@ -37,27 +45,53 @@ pub struct KernelResult {
     pub workload: String,
     /// `(threads, median_ns)` of the preserved pre-interning path.
     pub pre_by_threads: Vec<(usize, f64)>,
-    /// `(threads, median_ns)` of the shipping interned path.
+    /// `(threads, median_ns)` of the shipping path.
     pub post_by_threads: Vec<(usize, f64)>,
 }
 
-impl KernelResult {
-    fn at(rows: &[(usize, f64)], threads: usize) -> f64 {
-        rows.iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, ns)| ns)
-            .unwrap_or(f64::INFINITY)
-    }
+/// The median at `threads` in a `(threads, median_ns)` row list.
+fn at(rows: &[(usize, f64)], threads: usize) -> f64 {
+    rows.iter()
+        .find(|&&(t, _)| t == threads)
+        .map(|&(_, ns)| ns)
+        .unwrap_or(f64::INFINITY)
+}
 
+/// Thread-scaling speedup of a row list: median@1 ÷ median@t.
+fn speedup(rows: &[(usize, f64)], threads: usize) -> f64 {
+    at(rows, 1) / at(rows, threads).max(1.0)
+}
+
+impl KernelResult {
     /// Thread-scaling speedup of the shipping path: post@1 ÷ post@t.
     pub fn post_speedup(&self, threads: usize) -> f64 {
-        Self::at(&self.post_by_threads, 1) / Self::at(&self.post_by_threads, threads).max(1.0)
+        speedup(&self.post_by_threads, threads)
     }
 
     /// The sequential headline: pre@1 ÷ post@1 — how much faster the
     /// interned kernel runs on a single thread than the PR 3 code.
     pub fn seq_speedup(&self) -> f64 {
-        Self::at(&self.pre_by_threads, 1) / Self::at(&self.post_by_threads, 1).max(1.0)
+        at(&self.pre_by_threads, 1) / at(&self.post_by_threads, 1).max(1.0)
+    }
+
+    fn to_json(&self) -> Json {
+        let results: Vec<Json> = self
+            .pre_by_threads
+            .iter()
+            .zip(&self.post_by_threads)
+            .map(|(&(t, pre), &(_, post))| {
+                Json::obj()
+                    .set("threads", t)
+                    .set("pre_median_ns", pre)
+                    .set("post_median_ns", post)
+                    .set("post_speedup_vs_1", self.post_speedup(t))
+            })
+            .collect();
+        Json::obj()
+            .set("name", self.name)
+            .set("workload", self.workload.clone())
+            .set("results", results)
+            .set("seq_speedup", self.seq_speedup())
     }
 }
 
@@ -67,31 +101,88 @@ pub struct CpuReport {
     pub quick: bool,
     /// `std::thread::available_parallelism` on the measuring host.
     pub threads_available: usize,
-    /// The two kernels.
-    pub kernels: Vec<KernelResult>,
+    /// The ⋊⋉ self-product kernel.
+    pub intersect: KernelResult,
+    /// The bisimulation-minimization kernel.
+    pub minimize: KernelResult,
+    /// Human description of the fan-out workload.
+    pub fanout_workload: String,
+    /// `(threads, median_ns)` of the 16-source fan-out.
+    pub fanout_by_threads: Vec<(usize, f64)>,
 }
 
-/// Runs both kernels in both variants at every width; `quick` shrinks
-/// the workload and sample counts for CI smoke runs.
+/// Fans one catalog query out over `sources` freshly registered
+/// latency-wrapped sessions. Fresh sessions every time, so each source
+/// is actually contacted: a warm session answers locally and never
+/// pays the latency.
+fn fanout_once(sources: usize, latency: Duration) {
+    let mut cat = iixml_gen::catalog(6, 17);
+    let q = iixml_gen::catalog_query_price_below(&mut cat.alpha, 250);
+    let mut wh = Webhouse::new();
+    for i in 0..sources {
+        let source = Source::new(cat.doc.clone(), Some(cat.ty.clone()));
+        wh.register(
+            format!("src{i:02}"),
+            cat.alpha.clone(),
+            LatentSource::new(source, latency),
+        );
+    }
+    let outcomes = wh.fan_out(&q);
+    assert_eq!(outcomes.len(), sources);
+    assert!(outcomes.iter().all(|(_, a)| a.is_complete()));
+}
+
+/// The gates `BENCH_cpu.json` carries (see [`crate::gates`]).
+pub const GATES: &str = r#"[
+  {"metric": "intersect_seq_speedup", "rule": "at_least", "blessed": 1.3, "scope": "both",
+   "claim": "interned intersect vs the reference path, 1 thread"},
+  {"metric": "minimize_seq_speedup", "rule": "at_least", "blessed": 1.3, "scope": "both",
+   "claim": "interned minimize vs the reference path, 1 thread"},
+  {"metric": "fanout16_t4_speedup", "rule": "at_least", "blessed": 1.5, "scope": "run",
+   "claim": "16-source fan-out, 4 threads vs 1"}
+]"#;
+
+/// Added to [`GATES`] on multi-core hosts only: 4-thread kernel scaling
+/// means nothing where there are no cores to scale onto.
+pub const MULTICORE_GATES: &str = r#"[
+  {"metric": "intersect_t4_speedup", "rule": "at_least", "blessed": 1.5, "scope": "run",
+   "claim": "interned intersect, 4 threads vs 1"},
+  {"metric": "minimize_t4_speedup", "rule": "at_least", "blessed": 1.5, "scope": "run",
+   "claim": "interned minimize, 4 threads vs 1"}
+]"#;
+
+/// The gate blocks a report from a host with `threads_available`
+/// hardware threads carries.
+pub(crate) fn gate_blocks(threads_available: usize) -> [&'static str; 2] {
+    [
+        GATES,
+        if threads_available > 1 {
+            MULTICORE_GATES
+        } else {
+            "[]"
+        },
+    ]
+}
+
+/// Runs both kernels in both variants, and the fan-out, at every width;
+/// `quick` shrinks the workloads and sample counts for CI smoke runs.
 pub fn run(quick: bool) -> CpuReport {
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let chain_n = if quick { 5 } else { 7 };
     let samples = if quick { 3 } else { 7 };
+    let latency = Duration::from_millis(if quick { 2 } else { 4 });
 
     let base = refine_blowup_tree(chain_n);
     let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
-
+    let syms = base.ty().sym_count();
     let mut intersect = KernelResult {
         name: "intersect_product",
         workload: format!(
-            "⋊⋉ self-product of the Example 3.2 chain, n = {chain_n} ({} × {} symbols)",
-            base.ty().sym_count(),
-            base.ty().sym_count()
+            "⋊⋉ self-product of the Example 3.2 chain, n = {chain_n} ({syms} × {syms} symbols)"
         ),
-        pre_by_threads: Vec::new(),
-        post_by_threads: Vec::new(),
+        ..KernelResult::default()
     };
     let mut minimize = KernelResult {
         name: "minimize_product",
@@ -99,145 +190,81 @@ pub fn run(quick: bool) -> CpuReport {
             "bisimulation partition of the chain's self-product ({} symbols)",
             product.ty().sym_count()
         ),
-        pre_by_threads: Vec::new(),
-        post_by_threads: Vec::new(),
+        ..KernelResult::default()
     };
+    let mut fanout_by_threads = Vec::new();
 
     for &t in &THREADS {
         iixml_par::set_threads(Some(t));
-        intersect.pre_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let p = iixml_core::refine::intersect_reference(&base, &base)
-                    .expect("self-product is compatible");
-                assert!(p.ty().sym_count() > 0);
-            }),
-        ));
-        intersect.post_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let p = iixml_core::refine::intersect(&base, &base)
-                    .expect("self-product is compatible");
-                assert!(p.ty().sym_count() > 0);
-            }),
-        ));
-        minimize.pre_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let m = product.minimize_reference();
-                assert!(m.ty().sym_count() <= product.ty().sym_count());
-            }),
-        ));
-        minimize.post_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let m = product.minimize();
-                assert!(m.ty().sym_count() <= product.ty().sym_count());
-            }),
-        ));
+        let time = |f: &mut dyn FnMut()| (t, median_ns(samples, f));
+        intersect.pre_by_threads.push(time(&mut || {
+            let p = iixml_core::refine::intersect_reference(&base, &base)
+                .expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }));
+        intersect.post_by_threads.push(time(&mut || {
+            let p =
+                iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }));
+        minimize.pre_by_threads.push(time(&mut || {
+            let m = product.minimize_reference();
+            assert!(m.ty().sym_count() <= product.ty().sym_count());
+        }));
+        minimize.post_by_threads.push(time(&mut || {
+            let m = product.minimize();
+            assert!(m.ty().sym_count() <= product.ty().sym_count());
+        }));
+        fanout_by_threads.push(time(&mut || fanout_once(16, latency)));
     }
     iixml_par::set_threads(None);
 
     CpuReport {
         quick,
         threads_available,
-        kernels: vec![intersect, minimize],
+        intersect,
+        minimize,
+        fanout_workload: format!(
+            "one query fanned out over 16 sources with {latency:?} simulated latency each"
+        ),
+        fanout_by_threads,
     }
 }
 
 impl CpuReport {
-    fn kernel(&self, name: &str) -> Option<&KernelResult> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// The intersect kernel's sequential speedup (trajectory headline).
-    pub fn intersect_seq_speedup(&self) -> f64 {
-        self.kernel("intersect_product")
-            .map(KernelResult::seq_speedup)
-            .unwrap_or(0.0)
-    }
-
-    /// The minimize kernel's sequential speedup (trajectory headline).
-    pub fn minimize_seq_speedup(&self) -> f64 {
-        self.kernel("minimize_product")
-            .map(KernelResult::seq_speedup)
-            .unwrap_or(0.0)
-    }
-
-    /// A kernel's shipping-path speedup at `threads` (the multi-core
-    /// gate reads this).
-    pub fn post_speedup(&self, name: &str, threads: usize) -> f64 {
-        self.kernel(name)
-            .map(|k| k.post_speedup(threads))
-            .unwrap_or(0.0)
-    }
-
-    /// The machine-readable form committed as `BENCH_cpu.json`.
+    /// The machine-readable form committed as `BENCH_cpu.json`: per
+    /// kernel rows, the fan-out rows, then the gated headlines.
     pub fn to_json(&self) -> Json {
-        let kernels: Vec<Json> = self
-            .kernels
+        let fanout: Vec<Json> = self
+            .fanout_by_threads
             .iter()
-            .map(|k| {
-                let results: Vec<Json> = k
-                    .pre_by_threads
-                    .iter()
-                    .zip(&k.post_by_threads)
-                    .map(|(&(t, pre), &(_, post))| {
-                        Json::obj()
-                            .set("threads", t)
-                            .set("pre_median_ns", pre)
-                            .set("post_median_ns", post)
-                            .set("post_speedup_vs_1", k.post_speedup(t))
-                    })
-                    .collect();
+            .map(|&(t, ns)| {
                 Json::obj()
-                    .set("name", k.name)
-                    .set("workload", k.workload.clone())
-                    .set("results", results)
-                    .set("seq_speedup", k.seq_speedup())
+                    .set("threads", t)
+                    .set("median_ns", ns)
+                    .set("speedup_vs_1", speedup(&self.fanout_by_threads, t))
             })
             .collect();
-        Json::obj()
+        let doc = Json::obj()
             .set("pr", 8u64)
             .set("quick", self.quick)
             .set("threads_available", self.threads_available)
-            .set("kernels", kernels)
-            .set("intersect_seq_speedup", self.intersect_seq_speedup())
-            .set("minimize_seq_speedup", self.minimize_seq_speedup())
-    }
-
-    /// Prints the human-readable table.
-    pub fn print_table(&self) {
-        println!(
-            "cpu kernels ({} samples median; host has {} hardware thread(s))",
-            if self.quick { "quick" } else { "full" },
-            self.threads_available
-        );
-        for k in &self.kernels {
-            println!("\n{} — {}", k.name, k.workload);
-            for (&(t, pre), &(_, post)) in k.pre_by_threads.iter().zip(&k.post_by_threads) {
-                println!(
-                    "  t={t}  pre {:>10}  post {:>10}  post speedup {:.2}x",
-                    crate::harness::fmt_ns(pre),
-                    crate::harness::fmt_ns(post),
-                    k.post_speedup(t)
-                );
-            }
-            println!(
-                "  sequential speedup (pre@1 / post@1): {:.2}x",
-                k.seq_speedup()
-            );
-        }
-    }
-
-    /// Writes `BENCH_cpu.json` at the repo root; returns the path.
-    pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()?
-            .join("BENCH_cpu.json");
-        std::fs::write(&path, self.to_json().render_pretty() + "\n")?;
-        Ok(path)
+            .set(
+                "kernels",
+                vec![self.intersect.to_json(), self.minimize.to_json()],
+            )
+            .set(
+                "fanout16",
+                Json::obj()
+                    .set("workload", self.fanout_workload.clone())
+                    .set("results", fanout),
+            )
+            .set("intersect_seq_speedup", self.intersect.seq_speedup())
+            .set("minimize_seq_speedup", self.minimize.seq_speedup())
+            .set("intersect_t4_speedup", self.intersect.post_speedup(4))
+            .set("minimize_t4_speedup", self.minimize.post_speedup(4))
+            .set("fanout16_t4_speedup", speedup(&self.fanout_by_threads, 4));
+        with_gates(doc, &gate_blocks(self.threads_available))
     }
 }
 
@@ -258,16 +285,21 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_has_both_kernels_and_all_widths() {
+    fn quick_report_has_every_workload_at_all_widths() {
         let r = run(true);
-        assert_eq!(r.kernels.len(), 2);
-        for k in &r.kernels {
+        for k in [&r.intersect, &r.minimize] {
             assert_eq!(k.pre_by_threads.len(), THREADS.len());
             assert_eq!(k.post_by_threads.len(), THREADS.len());
             assert!(k.seq_speedup() > 0.0);
         }
-        let text = r.to_json().render_pretty();
-        assert!(text.contains("intersect_seq_speedup"));
-        assert!(text.contains("minimize_seq_speedup"));
+        assert_eq!(r.fanout_by_threads.len(), THREADS.len());
+        let doc = r.to_json();
+        for g in crate::gates::gates_of(&doc).unwrap() {
+            assert!(
+                doc.path(&g.metric).is_some(),
+                "gate {} has no value",
+                g.metric
+            );
+        }
     }
 }

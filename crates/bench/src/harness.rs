@@ -143,15 +143,10 @@ impl Group<'_> {
             }
             per_call.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
-        per_call.sort_by(|a, b| a.total_cmp(b));
-        let median = if per_call.len() % 2 == 1 {
-            per_call[per_call.len() / 2]
-        } else {
-            (per_call[per_call.len() / 2 - 1] + per_call[per_call.len() / 2]) / 2.0
-        };
+        per_call.sort_by(f64::total_cmp);
         let m = Measurement {
             min_ns: per_call[0],
-            median_ns: median,
+            median_ns: median_of_sorted(&per_call),
             mean_ns: per_call.iter().sum::<f64>() / per_call.len() as f64,
             samples: per_call.len(),
             iters_per_sample: iters,
@@ -182,6 +177,34 @@ pub fn fmt_ns(ns: f64) -> String {
         format!("{:.1}ms", ns / 1_000_000.0)
     } else {
         format!("{:.2}s", ns / 1_000_000_000.0)
+    }
+}
+
+/// Worker widths every thread-scaling group is measured at.
+pub const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Median wall time (ns) of `samples` calls of `f` (at least 2), after
+/// one unrecorded warm-up call.
+pub fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut runs: Vec<f64> = (0..samples.max(2))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    median_of_sorted(&runs)
+}
+
+/// The median of a sorted, non-empty slice; even lengths average the
+/// middle pair.
+fn median_of_sorted(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    match sorted.len() % 2 {
+        1 => sorted[mid],
+        _ => (sorted[mid - 1] + sorted[mid]) / 2.0,
     }
 }
 

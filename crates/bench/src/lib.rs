@@ -8,18 +8,14 @@
 
 pub mod containbench;
 pub mod cpubench;
+pub mod gates;
 pub mod harness;
 pub mod loadgen;
-pub mod parbench;
 pub mod servebench;
 pub mod store2bench;
-pub mod storebench;
 
 use iixml_core::{ConjunctiveTree, IncompleteTree, Refiner};
-use iixml_gen::{
-    blowup_queries, catalog, catalog_query_camera_pictures, catalog_query_price_below,
-    linear_queries,
-};
+use iixml_gen::{blowup_queries, catalog, catalog_query_price_below, linear_queries};
 use iixml_mediator::auxiliary_queries;
 use iixml_query::Answer;
 use iixml_tree::{Alphabet, DataTree};
@@ -119,9 +115,4 @@ pub fn refined_catalog(products: usize, seed: u64) -> (iixml_gen::Catalog, Incom
     refiner.refine(&c.alpha, &q, &a).unwrap();
     let tree = refiner.current().clone();
     (c, tree)
-}
-
-/// The standard camera follow-up query for a catalog workload.
-pub fn camera_query(c: &mut iixml_gen::Catalog) -> iixml_query::PsQuery {
-    catalog_query_camera_pictures(&mut c.alpha)
 }

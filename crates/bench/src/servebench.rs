@@ -13,10 +13,11 @@
 //! * `restart` — drain-and-sync shutdown followed by a cold start that
 //!   recovers every journaled session: fleet recovery wall time.
 //!
-//! The trajectory gate (`report -- --diff-serve`) floors-and-clamps
-//! requests/sec and sessions/sec like the store gates, so a slower CI
-//! host fails only on genuine regressions.
+//! The diff gates (`report -- --diff`) floor-and-clamp requests/sec and
+//! sessions/sec like the store gates, so a slower CI host fails only on
+//! genuine regressions; see [`GATES`].
 
+use crate::gates::with_gates;
 use crate::loadgen::{run_chaos, run_load, ChaosReport, LoadConfig, LoadReport};
 use iixml_obs::json::Json;
 use iixml_serve::{ServeConfig, Server};
@@ -24,10 +25,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iixml-serve-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    iixml_gen::testkit::scratch_dir("iixml-serve", name)
 }
 
 fn server_config(journal_root: PathBuf) -> ServeConfig {
@@ -45,6 +43,26 @@ fn server_config(journal_root: PathBuf) -> ServeConfig {
     cfg.admission.quota_refill = 1_000_000;
     cfg
 }
+
+/// The gates `BENCH_serve.json` carries (see [`crate::gates`]). The
+/// diff floors are an order of magnitude under the committed run: they
+/// exist to catch the server falling over, not scheduler jitter.
+pub const GATES: &str = r#"[
+  {"metric": "honest.requests_per_sec", "rule": "at_least", "blessed": 500.0, "scope": "diff",
+   "claim": "honest-load requests/sec"},
+  {"metric": "honest.sessions_per_sec", "rule": "at_least", "blessed": 8.0, "scope": "diff",
+   "claim": "honest-load sessions/sec"},
+  {"metric": "honest.p99_us", "rule": "at_most", "blessed": 50000.0, "scope": "diff",
+   "claim": "honest-load p99 latency (µs), quiet server"},
+  {"metric": "chaos.server_alive", "rule": "equals", "blessed": 1.0, "scope": "run",
+   "claim": "server answers after the chaos storm"},
+  {"metric": "honest.errors", "rule": "equals", "blessed": 0.0, "scope": "run",
+   "claim": "no transport errors on a quiet server"},
+  {"metric": "honest.shed", "rule": "equals", "blessed": 0.0, "scope": "run",
+   "claim": "no sheds on a quiet server"},
+  {"metric": "restart.lost_sessions", "rule": "equals", "blessed": 0.0, "scope": "run",
+   "claim": "restart recovers every session the honest load finished"}
+]"#;
 
 /// The full PR 7 server report.
 pub struct ServeReport {
@@ -137,7 +155,7 @@ impl ServeReport {
 
     /// The machine-readable form committed as `BENCH_serve.json`.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let doc = Json::obj()
             .set("pr", 7u64)
             .set("quick", self.quick)
             .set(
@@ -151,7 +169,8 @@ impl ServeReport {
                     .set("requests_per_sec", self.honest.requests_per_sec)
                     .set("sessions_per_sec", self.honest.sessions_per_sec)
                     .set("shed", self.honest.shed)
-                    .set("errors", self.honest.errors),
+                    .set("errors", self.honest.errors)
+                    .set("sessions_done", self.honest.sessions_done),
             )
             .set(
                 "chaos",
@@ -167,49 +186,15 @@ impl ServeReport {
                 "restart",
                 Json::obj()
                     .set("recovered_sessions", self.recovered_sessions)
+                    .set(
+                        "lost_sessions",
+                        self.honest
+                            .sessions_done
+                            .saturating_sub(self.recovered_sessions as u64),
+                    )
                     .set("restart_ms", self.restart_ms),
-            )
-    }
-
-    /// Prints the human-readable table.
-    pub fn print_table(&self) {
-        println!(
-            "serve honest load / chaos storm / restart recovery ({})",
-            if self.quick { "quick" } else { "full" }
-        );
-        println!(
-            "\nhonest — {} sessions × {} requests\n  p50 {:.0} µs  p99 {:.0} µs  {:.0} req/s  {:.1} sessions/s  shed {}  errors {}",
-            self.sessions,
-            self.requests_per_session,
-            self.honest.p50_us,
-            self.honest.p99_us,
-            self.honest.requests_per_sec,
-            self.honest.sessions_per_sec,
-            self.honest.shed,
-            self.honest.errors
-        );
-        println!(
-            "\nchaos — {} misbehaving connections (alive after: {})\n  honest p99 under chaos {:.0} µs ({:.1}x quiet)  honest errors {}",
-            self.chaos.connections,
-            self.chaos.server_alive,
-            self.honest_under_chaos.p99_us,
-            self.chaos_p99_inflation(),
-            self.honest_under_chaos.errors
-        );
-        println!(
-            "\nrestart — {} journaled sessions recovered in {:.0} ms",
-            self.recovered_sessions, self.restart_ms
-        );
-    }
-
-    /// Writes `BENCH_serve.json` at the repo root; returns the path.
-    pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()?
-            .join("BENCH_serve.json");
-        std::fs::write(&path, self.to_json().render_pretty() + "\n")?;
-        Ok(path)
+            );
+        with_gates(doc, &[GATES])
     }
 }
 
@@ -227,15 +212,15 @@ mod tests {
             report.recovered_sessions as u64 >= report.honest.sessions_done,
             "restart lost sessions"
         );
-        let json = report.to_json().render_pretty();
-        for key in [
-            "requests_per_sec",
-            "sessions_per_sec",
-            "p99_us",
-            "server_alive",
-            "recovered_sessions",
-        ] {
-            assert!(json.contains(key), "missing {key} in JSON");
+        let doc = report.to_json();
+        for g in crate::gates::gates_of(&doc).unwrap() {
+            assert!(
+                doc.path(&g.metric).is_some(),
+                "gate {} has no value",
+                g.metric
+            );
         }
+        assert!(doc.path("restart.recovered_sessions").is_some());
+        assert_eq!(crate::gates::check_run(&doc), Ok(true));
     }
 }

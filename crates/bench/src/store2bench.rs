@@ -4,24 +4,29 @@
 //! Four cost families of the upgraded durability layer:
 //!
 //! * `append baseline` — per-record durable append under the default
-//!   flush policy (one fsync per record; the BENCH_pr4 ceiling);
+//!   flush policy (one fsync per record; the retired durability bench's
+//!   ceiling);
 //! * `append batched` — the same records through a batched
 //!   [`FlushPolicy`] with an explicit `sync()` barrier at the end —
 //!   the headline: one fsync amortized over a whole batch;
 //! * `compaction` — live bytes and segments of a snapshotted chain
 //!   after automatic segment retirement, against the same chain with
-//!   no snapshots (nothing retirable);
+//!   no snapshots (nothing retirable), and the recovery time of each:
+//!   the snapshot cadence turns O(chain) replay into snapshot + short
+//!   tail (the cadence gate moved here from the retired durability
+//!   bench);
 //! * `recovery` — wall time of recovering a fleet of independent
 //!   journals through `Webhouse::recover_sessions` at par widths 1 and
 //!   4, with a byte-identity check across widths.
 //!
-//! The trajectory gate (`report -- --bench-store2` and the CI
-//! `bench-trajectory` job) enforces the *in-run* batched/baseline
-//! speedup rather than an absolute appends/sec, so the ≥10x claim is
-//! meaningful on any disk; the absolute numbers are still emitted for
-//! the committed baseline diff.
+//! The ≥10x group-commit claim has two in-run routes (see [`GATES`]):
+//! the batched/baseline speedup, robust when the fsync is slow, or 10x
+//! the per-record-fsync WAL's appends/sec, robust when the fsync is
+//! fast. A machine fails only if group commit genuinely stopped
+//! amortizing.
 
-use crate::parbench::median_ns;
+use crate::gates::with_gates;
+use crate::harness::median_ns;
 use iixml_core::Refiner;
 use iixml_obs::json::Json;
 use iixml_query::{Answer, PsQuery};
@@ -30,6 +35,25 @@ use iixml_store::{recover, FlushPolicy, RecoveryMode, RecoveryStatus, SessionJou
 use iixml_tree::{Alphabet, DataTree};
 use iixml_webhouse::{Source, Webhouse};
 use std::path::PathBuf;
+
+/// The gates `BENCH_store2.json` carries (see [`crate::gates`]). The
+/// ≥10x group-commit claim has two routes, so either passes in-run;
+/// the second's blessed value is 10x the per-record-fsync WAL of the
+/// retired durability bench (6721.98157294789 appends/s, 1-core host).
+pub const GATES: &str = r#"[
+  {"metric": "append.batch_speedup", "rule": "at_least", "blessed": 10.0, "scope": "both",
+   "any_of": "group_commit", "claim": "group commit vs per-record fsync"},
+  {"metric": "append.batched_appends_per_sec", "rule": "at_least", "blessed": 67219.8157294789,
+   "scope": "both", "any_of": "group_commit", "claim": "appends/sec vs 10x the per-record-fsync 6721.98/s"},
+  {"metric": "append.io_overhead_ratio", "rule": "at_most", "blessed": 1.03, "scope": "run",
+   "claim": "StoreIo seam vs the pre-seam writer"},
+  {"metric": "compaction.cadence_recovery_ratio", "rule": "at_least", "blessed": 0.8,
+   "scope": "run", "claim": "snapshot-cadence recovery vs plain replay"},
+  {"metric": "recovery.recovery_par_ratio", "rule": "at_least", "blessed": 0.5, "scope": "both",
+   "claim": "width-4 fleet recovery vs width 1"},
+  {"metric": "recovery.deterministic", "rule": "equals", "blessed": 1.0, "scope": "run",
+   "claim": "fleet recovery byte-identical across par widths"}
+]"#;
 
 /// Compaction outcome on a snapshotted chain.
 pub struct CompactionStats {
@@ -44,6 +68,10 @@ pub struct CompactionStats {
     /// Bytes the same chain occupies with no snapshot cadence (nothing
     /// retirable — the unbounded-log baseline).
     pub uncompacted_bytes: u64,
+    /// Median ns to recover the snapshotted chain.
+    pub compacted_recover_ns: f64,
+    /// Median ns to recover the same chain with no snapshots.
+    pub plain_recover_ns: f64,
 }
 
 /// Concurrent fleet recovery at two par widths.
@@ -92,10 +120,7 @@ pub struct Store2Report {
 }
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iixml-store2-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    iixml_gen::testkit::scratch_dir("iixml-store2", name)
 }
 
 /// A catalog fixture that keeps its document (fleet recovery needs a
@@ -160,9 +185,9 @@ fn timed_chain(fx: &Fixture, dir: &std::path::Path, policy: FlushPolicy, samples
 }
 
 /// Stand-ins for the store's `OBS_APPENDS`/`OBS_FSYNCS` lazy counters:
-/// same discipline (enabled check, one-time slot resolution, relaxed
-/// add) without registering bench-only keys in the metrics registry
-/// (iixml-vet's metrics rule keeps the key catalog in `iixml_obs::keys`).
+/// same discipline (one-time slot resolution, relaxed add) without
+/// registering bench-only keys in the metrics registry (iixml-vet's
+/// metrics rule keeps the key catalog in `iixml_obs::keys`).
 static RAW_APPENDS_CELL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static RAW_APPENDS: std::sync::OnceLock<&'static std::sync::atomic::AtomicU64> =
     std::sync::OnceLock::new();
@@ -207,11 +232,9 @@ impl PreSeamWal {
                 .map_err(|e| iixml_store::StoreError::io(&self.dir, e))?;
         }
         self.seg_len += bytes.len() as u64;
-        if iixml_obs::enabled() {
-            RAW_APPENDS
-                .get_or_init(|| &RAW_APPENDS_CELL)
-                .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
-        }
+        RAW_APPENDS
+            .get_or_init(|| &RAW_APPENDS_CELL)
+            .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 }
@@ -376,18 +399,25 @@ pub fn run(quick: bool) -> Store2Report {
     let compacted_dir = scratch("compact");
     let total = build(&compacted_dir, Some(16));
     let plain_dir = scratch("uncompacted");
-    build(&plain_dir, None);
+    let plain_total = build(&plain_dir, None);
     let segs = iixml_store::wal::Wal::segments(&compacted_dir).unwrap();
-    let rec = recover(&compacted_dir, RecoveryMode::Degrade).unwrap();
-    assert_eq!(rec.status, RecoveryStatus::Clean, "compacted chain dirty");
-    assert_eq!(rec.replayed, total, "compacted chain lost records");
-    drop(rec);
+    // The sample counts of the retired bench the cadence gate came from.
+    let recover_samples = if quick { 3 } else { 7 };
+    let recover_ns = |dir: &std::path::Path, records: usize| {
+        median_ns(recover_samples, || {
+            let rec = recover(dir, RecoveryMode::Degrade).unwrap();
+            assert_eq!(rec.status, RecoveryStatus::Clean, "chain dirty");
+            assert_eq!(rec.replayed, records, "chain lost records");
+        })
+    };
     let compaction = CompactionStats {
         chain: total,
         live_segments: segs.len(),
         retired_segments: segs.first().map_or(0, |&(i, _)| i),
         live_bytes: segment_bytes_on_disk(&compacted_dir),
         uncompacted_bytes: segment_bytes_on_disk(&plain_dir),
+        compacted_recover_ns: recover_ns(&compacted_dir, total),
+        plain_recover_ns: recover_ns(&plain_dir, plain_total),
     };
     let _ = std::fs::remove_dir_all(&compacted_dir);
     let _ = std::fs::remove_dir_all(&plain_dir);
@@ -506,9 +536,15 @@ impl Store2Report {
         self.compaction.live_bytes as f64 / (self.compaction.uncompacted_bytes as f64).max(1.0)
     }
 
+    /// Plain-replay recovery time over snapshot-cadence recovery time
+    /// on the same chain (the cadence must not slow recovery down).
+    pub fn cadence_recovery_ratio(&self) -> f64 {
+        self.compaction.plain_recover_ns / self.compaction.compacted_recover_ns.max(1.0)
+    }
+
     /// The machine-readable form committed as `BENCH_store2.json`.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let doc = Json::obj()
             .set("pr", 6u64)
             .set("quick", self.quick)
             .set(
@@ -533,7 +569,10 @@ impl Store2Report {
                     .set("retired_segments", self.compaction.retired_segments)
                     .set("live_bytes", self.compaction.live_bytes)
                     .set("uncompacted_bytes", self.compaction.uncompacted_bytes)
-                    .set("compaction_ratio", self.compaction_ratio()),
+                    .set("compaction_ratio", self.compaction_ratio())
+                    .set("compacted_recover_ns", self.compaction.compacted_recover_ns)
+                    .set("plain_recover_ns", self.compaction.plain_recover_ns)
+                    .set("cadence_recovery_ratio", self.cadence_recovery_ratio()),
             )
             .set(
                 "recovery",
@@ -544,59 +583,8 @@ impl Store2Report {
                     .set("width4_ns", self.recovery.width4_ns)
                     .set("recovery_par_ratio", self.recovery_par_ratio())
                     .set("deterministic", self.recovery.deterministic),
-            )
-    }
-
-    /// Prints the human-readable table.
-    pub fn print_table(&self) {
-        println!(
-            "store group-commit / compaction / concurrent recovery ({} samples median)",
-            if self.quick { "quick" } else { "full" }
-        );
-        println!(
-            "\nappend — {} refine records per batch\n  default policy  {:>10} per append ({:.0} appends/s, fsync each)\n  batched policy  {:>10} per append ({:.0} appends/s, fsync amortized)\n  group-commit speedup: {:.1}x",
-            self.append_records,
-            crate::harness::fmt_ns(self.baseline_ns),
-            self.baseline_appends_per_sec(),
-            crate::harness::fmt_ns(self.batched_ns),
-            self.batched_appends_per_sec(),
-            self.batch_speedup()
-        );
-        println!(
-            "\nio seam — burst of {} appends through StoreIo vs handwritten\n  dispatch  {:>10} per append\n  raw       {:>10} per append  (overhead {:.3}x)",
-            self.probe_records,
-            crate::harness::fmt_ns(self.dispatch_ns),
-            crate::harness::fmt_ns(self.raw_ns),
-            self.io_overhead_ratio()
-        );
-        println!(
-            "\ncompaction — chain {}  live segments {} (retired {})  {} B live vs {} B unbounded ({:.2}x)",
-            self.compaction.chain,
-            self.compaction.live_segments,
-            self.compaction.retired_segments,
-            self.compaction.live_bytes,
-            self.compaction.uncompacted_bytes,
-            self.compaction_ratio()
-        );
-        println!(
-            "\nrecovery — {} sessions × {} records\n  width 1  {:>10}\n  width 4  {:>10}  (ratio {:.2}x, deterministic: {})",
-            self.recovery.sessions,
-            self.recovery.chain,
-            crate::harness::fmt_ns(self.recovery.width1_ns),
-            crate::harness::fmt_ns(self.recovery.width4_ns),
-            self.recovery_par_ratio(),
-            self.recovery.deterministic
-        );
-    }
-
-    /// Writes `BENCH_store2.json` at the repo root; returns the path.
-    pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()?
-            .join("BENCH_store2.json");
-        std::fs::write(&path, self.to_json().render_pretty() + "\n")?;
-        Ok(path)
+            );
+        with_gates(doc, &[GATES])
     }
 }
 
@@ -618,15 +606,14 @@ mod tests {
             "the compaction workload retired nothing"
         );
         assert!(report.compaction_ratio() < 1.0);
-        let json = report.to_json().render_pretty();
-        for key in [
-            "batched_appends_per_sec",
-            "batch_speedup",
-            "io_overhead_ratio",
-            "recovery_par_ratio",
-            "compaction_ratio",
-        ] {
-            assert!(json.contains(key), "missing {key} in JSON");
+        let doc = report.to_json();
+        for g in crate::gates::gates_of(&doc).unwrap() {
+            assert!(
+                doc.path(&g.metric).is_some(),
+                "gate {} has no value",
+                g.metric
+            );
         }
+        assert!(doc.path("compaction.compaction_ratio").is_some());
     }
 }

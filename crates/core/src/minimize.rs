@@ -156,8 +156,8 @@ impl IncompleteTree {
         // The key is the structured (SymTarget, IntervalSet) pair hashed
         // directly — the old keying rendered both to `format!`-allocated
         // Strings per symbol per call, which showed up as the top
-        // allocation site in minimize (see BENCH_pr3.json,
-        // `sig_interning`). Frozen symbols never share, so they take a
+        // allocation site in minimize (the retired thread-scaling
+        // bench's `sig_interning`). Frozen symbols never share, so they take a
         // fresh block without touching the map; block numbering is
         // first-encounter order either way.
         let mut block_of: Vec<usize> = vec![0; n];

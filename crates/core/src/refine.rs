@@ -418,7 +418,8 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
     if iixml_par::threads() == 1 || keys.len() <= iixml_par::cutoff(INTERSECT_CUTOFF) {
         // Width-1 / small products: compute and assign each µ directly.
         // No task vector, no intermediate µ buffer — that bookkeeping
-        // was pure overhead in BENCH_pr3's 1-thread column.
+        // was pure overhead in the old thread-scaling bench's 1-thread
+        // column.
         let mut scratch = JoinScratch::default();
         for &(s1, s2, p) in &keys {
             let mu = pair_mu(ty1, ty2, s1, s2, &pair_of, &mut scratch);

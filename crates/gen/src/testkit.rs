@@ -44,6 +44,15 @@ pub fn base_seed() -> u64 {
     env_u64(iixml_obs::keys::ENV_TEST_SEED, DEFAULT_SEED)
 }
 
+/// A fresh, empty scratch directory `<tmp>/<prefix>-<pid>-<name>`,
+/// emptied first if an earlier run left it behind.
+pub fn scratch_dir(prefix: &str, name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("{prefix}-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the temp dir is writable");
+    dir
+}
+
 /// Runs `property` once per case with an independent [`DetRng`]. On
 /// panic, reports the property name and the case seed so the failure
 /// replays with `IIXML_TEST_SEED=<seed> IIXML_PROPTEST_CASES=1`.

@@ -12,10 +12,13 @@
 //!
 //! # Design
 //!
-//! * **Disabled by default, branch-on-atomic when off.** Every record
-//!   call first does one relaxed atomic load; unless `IIXML_OBS=1` is
-//!   set in the environment (or [`set_enabled`] was called), nothing
-//!   else happens — no clock reads, no locking, no allocation.
+//! * **Counters always count; timers and histograms are gated.** A
+//!   counter bump is one relaxed atomic add, so counters are always
+//!   on: the serve `Stats` op, `--stats`, and the benches all read the
+//!   same registry. Histogram and timer calls first do one relaxed
+//!   atomic load; unless `IIXML_OBS=1` is set in the environment (or
+//!   [`set_enabled`] was called), nothing else happens — no clock
+//!   reads, no locking, no allocation.
 //! * **Static handles for hot paths.** Call sites declare
 //!   `static M: LazyCounter = LazyCounter::new("core.refine.steps");`
 //!   and pay one `OnceLock` pointer load after first use. Dynamic names
@@ -64,8 +67,9 @@ use std::time::Instant;
 /// 0 = not yet initialized from the environment, 1 = off, 2 = on.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-/// Environment variable that enables metric collection when set to `1`,
-/// `true`, or `on` (the [`keys::ENV_OBS`] registry entry).
+/// Environment variable that enables timers and histograms when set to
+/// `1`, `true`, or `on` (the [`keys::ENV_OBS`] registry entry).
+/// Counters do not consult it.
 pub const ENV_TOGGLE: &str = keys::ENV_OBS;
 
 #[cold]
@@ -77,8 +81,8 @@ fn init_from_env() -> bool {
     on
 }
 
-/// Is metric collection enabled? One relaxed atomic load on the fast
-/// path; the first call reads [`ENV_TOGGLE`] from the environment.
+/// Are timers and histograms enabled? One relaxed atomic load on the
+/// fast path; the first call reads [`ENV_TOGGLE`] from the environment.
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -88,8 +92,8 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Programmatically enables or disables collection, overriding the
-/// environment (used by `iixml --stats` and by tests).
+/// Programmatically enables or disables timers and histograms,
+/// overriding the environment (used by `iixml --stats` and by tests).
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
@@ -195,15 +199,23 @@ impl Histogram {
             }
             0
         };
-        let min = self.min.load(Ordering::Relaxed);
+        let min = if count == 0 {
+            0
+        } else {
+            self.min.load(Ordering::Relaxed)
+        };
+        let max = self.max.load(Ordering::Relaxed);
+        // A bucket edge can lie outside the observed range; the exact
+        // extremes are the tighter bound.
+        let clamp = |v: u64| v.clamp(min, max.max(min));
         HistogramSummary {
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
-            p50: quantile(0.50),
-            p90: quantile(0.90),
-            p99: quantile(0.99),
+            min,
+            max,
+            p50: clamp(quantile(0.50)),
+            p90: clamp(quantile(0.90)),
+            p99: clamp(quantile(0.99)),
         }
     }
 
@@ -219,7 +231,7 @@ impl Histogram {
 }
 
 /// A digest of a [`Histogram`]: exact count/sum/min/max, bucket-upper-
-/// bound quantiles.
+/// bound quantiles clamped to `[min, max]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Number of observations.
@@ -230,11 +242,11 @@ pub struct HistogramSummary {
     pub min: u64,
     /// Largest observation.
     pub max: u64,
-    /// Median (upper bucket edge).
+    /// Median (upper bucket edge, clamped to `[min, max]`).
     pub p50: u64,
-    /// 90th percentile (upper bucket edge).
+    /// 90th percentile (upper bucket edge, clamped to `[min, max]`).
     pub p90: u64,
-    /// 99th percentile (upper bucket edge).
+    /// 99th percentile (upper bucket edge, clamped to `[min, max]`).
     pub p99: u64,
 }
 
@@ -293,12 +305,10 @@ pub fn histogram(name: &str) -> &'static Histogram {
     h
 }
 
-/// Adds `n` to the counter `name` when collection is enabled.
+/// Adds `n` to the counter `name` (always on; takes the registry lock).
 #[inline]
 pub fn add(name: &str, n: u64) {
-    if enabled() {
-        counter(name).add(n);
-    }
+    counter(name).add(n);
 }
 
 /// Records `v` into the histogram `name` when collection is enabled.
@@ -313,12 +323,8 @@ pub fn observe(name: &str, v: u64) {
 /// `name` when dropped. A no-op (no clock read) when disabled.
 #[inline]
 pub fn time(name: &str) -> SpanGuard {
-    if enabled() {
-        SpanGuard {
-            inner: Some((histogram(name), Instant::now())),
-        }
-    } else {
-        SpanGuard { inner: None }
+    SpanGuard {
+        inner: enabled().then(|| (histogram(name), Instant::now())),
     }
 }
 
@@ -326,7 +332,7 @@ pub fn time(name: &str) -> SpanGuard {
 // Static handles.
 
 /// A counter handle for `static` declaration at hot call sites: the
-/// registry lock is taken at most once (first enabled use).
+/// registry lock is taken at most once (first use).
 pub struct LazyCounter {
     name: &'static str,
     slot: OnceLock<&'static Counter>,
@@ -346,15 +352,13 @@ impl LazyCounter {
         self.slot.get_or_init(|| counter(self.name))
     }
 
-    /// Adds `n` when collection is enabled.
+    /// Adds `n`: one relaxed atomic add after the first use.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.get().add(n);
-        }
+        self.get().add(n);
     }
 
-    /// Adds one when collection is enabled.
+    /// Adds one.
     #[inline]
     pub fn incr(&self) {
         self.add(1);
@@ -393,12 +397,8 @@ impl LazyHistogram {
     /// (no clock read) when disabled.
     #[inline]
     pub fn time(&self) -> SpanGuard {
-        if enabled() {
-            SpanGuard {
-                inner: Some((self.get(), Instant::now())),
-            }
-        } else {
-            SpanGuard { inner: None }
+        SpanGuard {
+            inner: enabled().then(|| (self.get(), Instant::now())),
         }
     }
 }
@@ -549,19 +549,35 @@ mod tests {
         let _g = serial();
         set_enabled(true);
         reset();
-        // Register the metric so the snapshot can prove it stayed zero.
         add("test.counter.gated", 0);
         set_enabled(false);
         add("test.counter.gated", 10);
         observe("test.hist.gated", 10);
         static C: LazyCounter = LazyCounter::new("test.counter.gated");
         C.incr();
+        let _span = time("test.span.gated");
         set_enabled(true);
         let snap = snapshot();
-        assert_eq!(snap.counter("test.counter.gated"), Some(0));
-        // The histogram was never registered (observe was gated).
+        // Counters always count; only histograms and timers are gated.
+        assert_eq!(snap.counter("test.counter.gated"), Some(11));
+        // Neither histogram was registered (observe and time were gated).
         assert!(snap.histogram("test.hist.gated").is_none());
+        assert!(snap.histogram("test.span.gated").is_none());
         set_enabled(false);
+    }
+
+    #[test]
+    fn quantiles_stay_within_min_and_max() {
+        let _g = serial();
+        let h = Histogram::default();
+        h.observe(5_280_000);
+        let s = h.summary();
+        assert_eq!((s.p50, s.p90, s.p99), (5_280_000, 5_280_000, 5_280_000));
+        for v in [3u64, 1000] {
+            h.observe(v);
+        }
+        let s = h.summary();
+        assert!(s.min <= s.p50 && s.p99 <= s.max, "{s:?}");
     }
 
     #[test]

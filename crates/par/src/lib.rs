@@ -491,7 +491,6 @@ mod tests {
 
     #[test]
     fn metrics_are_recorded() {
-        iixml_obs::set_enabled(true);
         let before = iixml_obs::snapshot().counter("par.tasks").unwrap_or(0);
         set_threads(Some(2));
         par_map_ref(&[1u32; 64], 1, |&x| x);

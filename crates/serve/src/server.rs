@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -195,21 +195,6 @@ struct Shard {
     meta: BTreeMap<String, SessionMeta>,
 }
 
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    frame_errors: AtomicU64,
-    timeouts: AtomicU64,
-    opened: AtomicU64,
-    recovered: AtomicU64,
-    closed: AtomicU64,
-    contain_checks: AtomicU64,
-    contain_hits: AtomicU64,
-    contain_fast_rejects: AtomicU64,
-}
-
 struct Inner {
     cfg: ServeConfig,
     listener: TcpListener,
@@ -217,7 +202,6 @@ struct Inner {
     admission: Admission,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
-    counters: Counters,
 }
 
 /// FNV-1a; the shard router (stable across platforms and runs).
@@ -290,7 +274,6 @@ impl Server {
             shards,
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
-            counters: Counters::default(),
         });
         recover_fleet(&inner)?;
         let runner = {
@@ -502,7 +485,6 @@ fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
                     let _ = sess.set_journal_flush_policy(FlushPolicy::batched());
                 }
             }
-            inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
             OBS_RECOVERED.incr();
         }
         shard.meta.append(&mut metas);
@@ -530,7 +512,6 @@ fn accept_loop(inner: &Arc<Inner>) -> u64 {
         match inner.listener.accept() {
             Ok((stream, _addr)) => {
                 accepted += 1;
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 OBS_ACCEPTED.incr();
                 dispatch_conn(inner, stream);
             }
@@ -555,7 +536,6 @@ fn dispatch_conn(inner: &Arc<Inner>, stream: TcpStream) {
         return;
     };
     if inner.active_conns.load(Ordering::Acquire) >= MAX_CONNS {
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
         OBS_SHED.incr();
         let _ = ds.write_frame(&shed_frame(Shed::Inflight, cfg.admission.refill_ms));
         ds.shutdown();
@@ -572,7 +552,6 @@ fn dispatch_conn(inner: &Arc<Inner>, stream: TcpStream) {
     if spawned.is_err() {
         // Could not even spawn: treat as overload.
         inner.active_conns.fetch_sub(1, Ordering::AcqRel);
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
         OBS_SHED.incr();
     }
 }
@@ -596,14 +575,12 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
                 match handle_frame(inner, &mut tenant, op, &body) {
                     Outcome::Reply(frame) => {
                         if ds.write_frame(&frame).is_err() {
-                            inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                             OBS_TIMEOUTS.incr();
                             ds.shutdown();
                             return;
                         }
                     }
                     Outcome::Degrade(last) => {
-                        inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
                         OBS_FRAME_ERRORS.incr();
                         if let Some(frame) = last {
                             let _ = ds.write_frame(&frame);
@@ -614,7 +591,6 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
                 }
             }
             Err(ConnError::Timeout | ConnError::SlowLoris) => {
-                inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 OBS_TIMEOUTS.incr();
                 ds.shutdown();
                 return;
@@ -622,7 +598,6 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
             Err(ConnError::Frame(e)) => {
                 // Garbage, bad CRC, or a version we don't speak: tell
                 // the peer why (best effort), then degrade.
-                inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
                 OBS_FRAME_ERRORS.incr();
                 let code = if matches!(e, proto::FrameError::BadVersion(_)) {
                     "version"
@@ -635,7 +610,6 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
             }
             Err(ConnError::ClosedMidFrame | ConnError::Io(_)) => {
                 // Disconnect mid-request / reset: connection-local.
-                inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
                 OBS_FRAME_ERRORS.incr();
                 ds.shutdown();
                 return;
@@ -683,12 +657,10 @@ fn handle_frame(
             let _guard = match inner.admission.try_request(&gate) {
                 Ok(g) => g,
                 Err(shed) => {
-                    inner.counters.shed.fetch_add(1, Ordering::Relaxed);
                     OBS_SHED.incr();
                     return Outcome::Reply(shed_frame(shed, inner.cfg.admission.refill_ms));
                 }
             };
-            inner.counters.requests.fetch_add(1, Ordering::Relaxed);
             OBS_REQUESTS.incr();
             Outcome::Reply(handle_session_request(inner, &tenant, &gate, req))
         }
@@ -712,10 +684,10 @@ fn handle_session_request(
                 Ok(q) => q,
                 Err(e) => return err_frame("bad-query", &e.to_string()),
             };
-            let before = contain_snapshot(sess);
+            let hits = sess.containment_hits();
             let res = sess.fetch(&q);
             note_fault(sess, meta, res.as_ref().err());
-            let hit = note_containment(inner, sess, before);
+            let hit = sess.containment_hits() > hits;
             match res {
                 Ok(ans) => resp_frame(
                     RespOp::Answer,
@@ -744,10 +716,10 @@ fn handle_session_request(
                     Ok(q) => q,
                     Err(e) => return err_frame("bad-query", &e.to_string()),
                 };
-                let before = contain_snapshot(sess);
+                let hits = sess.containment_hits();
                 let ans = sess.answer_resilient(&q);
                 note_fault(sess, meta, None);
-                let hit = note_containment(inner, sess, before);
+                let hit = sess.containment_hits() > hits;
                 local_answer_frame(&ans, &meta.marker(), Some(hit))
             })
         }
@@ -783,41 +755,6 @@ fn hit_word(hit: bool) -> &'static str {
     } else {
         "miss"
     }
-}
-
-/// Per-session containment counters before a call, for delta
-/// accounting afterwards.
-#[derive(Clone, Copy)]
-struct ContainSnapshot {
-    checks: u64,
-    hits: u64,
-    fast_rejects: u64,
-}
-
-fn contain_snapshot(sess: &Session<Source>) -> ContainSnapshot {
-    ContainSnapshot {
-        checks: sess.containment_checks(),
-        hits: sess.containment_hits(),
-        fast_rejects: sess.containment_fast_rejects(),
-    }
-}
-
-/// Folds a call's containment-counter deltas into the fleet counters;
-/// returns whether the call was answered from the cache.
-fn note_containment(inner: &Arc<Inner>, sess: &Session<Source>, before: ContainSnapshot) -> bool {
-    let after = contain_snapshot(sess);
-    let c = &inner.counters;
-    c.contain_checks.fetch_add(
-        after.checks.saturating_sub(before.checks),
-        Ordering::Relaxed,
-    );
-    c.contain_hits
-        .fetch_add(after.hits.saturating_sub(before.hits), Ordering::Relaxed);
-    c.contain_fast_rejects.fetch_add(
-        after.fast_rejects.saturating_sub(before.fast_rejects),
-        Ordering::Relaxed,
-    );
-    after.hits > before.hits
 }
 
 fn local_answer_frame(ans: &LocalAnswer, marker: &str, contain: Option<bool>) -> Vec<u8> {
@@ -885,7 +822,6 @@ fn open_session(
         return resp_frame(RespOp::Opened, &format!("attached\n{}", meta.marker()));
     }
     if let Err(shed) = gate.try_open_session(inner.admission.config()) {
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
         OBS_SHED.incr();
         return shed_frame(shed, inner.cfg.admission.refill_ms);
     }
@@ -923,7 +859,6 @@ fn open_session(
         shard.house.register(&scoped, cat.alpha, source);
     }
     shard.meta.insert(scoped, meta);
-    inner.counters.opened.fetch_add(1, Ordering::Relaxed);
     OBS_OPENED.incr();
     resp_frame(RespOp::Opened, "created\nok")
 }
@@ -973,7 +908,6 @@ fn close_session(
         let _ = std::fs::remove_file(tdir.join(format!("{session}.meta")));
     }
     gate.release_session();
-    inner.counters.closed.fetch_add(1, Ordering::Relaxed);
     OBS_CLOSED.incr();
     match sync_err {
         None => resp_frame(RespOp::Ok, &format!("closed\n{marker}")),
@@ -981,30 +915,23 @@ fn close_session(
     }
 }
 
-/// Builds the stats snapshot: fleet counters, per-tenant admission
-/// state, and per-session durability (recovery outcome + sticky
-/// fault) — satellite visibility for degraded durability.
+/// Registry prefixes of the counters the `Stats` op reports.
+const STATS_PREFIXES: [&str; 2] = ["serve.", "mediator.containment_"];
+
+/// Builds the stats snapshot: the process's serve and containment
+/// counters from the obs registry (zero until first bumped), per-tenant
+/// admission state, and per-session durability (recovery outcome +
+/// sticky fault) — satellite visibility for degraded durability.
 fn stats_json(inner: &Arc<Inner>) -> String {
     use iixml_obs::json::Json;
-    let c = &inner.counters;
-    let counters = Json::obj()
-        .set("accepted", c.accepted.load(Ordering::Relaxed))
-        .set("requests", c.requests.load(Ordering::Relaxed))
-        .set("shed", c.shed.load(Ordering::Relaxed))
-        .set("frame_errors", c.frame_errors.load(Ordering::Relaxed))
-        .set("conn_timeouts", c.timeouts.load(Ordering::Relaxed))
-        .set("sessions_opened", c.opened.load(Ordering::Relaxed))
-        .set("sessions_recovered", c.recovered.load(Ordering::Relaxed))
-        .set("sessions_closed", c.closed.load(Ordering::Relaxed))
-        .set(
-            "containment_checks",
-            c.contain_checks.load(Ordering::Relaxed),
-        )
-        .set("containment_hits", c.contain_hits.load(Ordering::Relaxed))
-        .set(
-            "containment_fast_rejects",
-            c.contain_fast_rejects.load(Ordering::Relaxed),
-        );
+    let snap = iixml_obs::snapshot();
+    let counters = Json::Obj(
+        keys::COUNTERS
+            .iter()
+            .filter(|k| STATS_PREFIXES.iter().any(|p| k.starts_with(p)))
+            .map(|&k| (k.to_string(), Json::UInt(snap.counter(k).unwrap_or(0))))
+            .collect(),
+    );
     let tenants: Vec<Json> = inner
         .admission
         .snapshot()
@@ -1017,7 +944,8 @@ fn stats_json(inner: &Arc<Inner>) -> String {
                 .set("tokens", tokens)
         })
         .collect();
-    let mut sessions: Vec<Json> = Vec::new();
+    // Keyed by name: shards are visited in shard order.
+    let mut sessions: BTreeMap<String, Json> = BTreeMap::new();
     for shard_mutex in &inner.shards {
         let mut shard = lock(shard_mutex);
         let shard = &mut *shard;
@@ -1040,24 +968,12 @@ fn stats_json(inner: &Arc<Inner>) -> String {
                     .set("dropped_records", dropped)
                     .set("rebased", rec.rebased);
             }
-            sessions.push(j);
+            sessions.insert(name.clone(), j);
         }
     }
-    // Shard-order collection; present sorted by session name.
-    sessions.sort_by(|a, b| {
-        let key = |j: &Json| match j {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == "session")
-                .map(|(_, v)| v.render())
-                .unwrap_or_default(),
-            _ => String::new(),
-        };
-        key(a).cmp(&key(b))
-    });
     Json::obj()
         .set("counters", counters)
         .set("tenants", Json::Arr(tenants))
-        .set("sessions", Json::Arr(sessions))
+        .set("sessions", Json::Arr(sessions.into_values().collect()))
         .render_pretty()
 }

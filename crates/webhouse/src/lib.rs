@@ -430,11 +430,6 @@ impl<E: SourceEndpoint> Session<E> {
         self.contain_cache.hits()
     }
 
-    /// Cache candidates pruned on skeleton signature alone.
-    pub fn containment_fast_rejects(&self) -> u64 {
-        self.contain_cache.fast_rejects()
-    }
-
     /// Tries the containment cache; the returned answer (if any) is
     /// byte-identical to what the source would ship for `q` right now.
     fn cache_lookup(&mut self, q: &PsQuery) -> Option<Answer> {

@@ -284,9 +284,7 @@ fn snap_bytes(snap: &Snapshot) -> Vec<u8> {
 #[test]
 fn wal_scan_never_panics_on_arbitrary_segments() {
     use iixml_store::wal;
-    let dir = std::env::temp_dir().join(format!("iixml-fuzz-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = iixml_gen::testkit::scratch_dir("iixml-fuzz", "wal");
     check_with("wal_scan_never_panics", 300, |rng| {
         // One or two segment files of arbitrary bytes; a valid header
         // is prepended half the time so the scanner reaches the frames.
@@ -306,4 +304,106 @@ fn wal_scan_never_panics_on_arbitrary_segments() {
         }
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- the bench-file JSON reader (iixml_obs::json) ----
+
+use iixml_obs::json::Json;
+
+/// A random JSON value in the canonical form `render` writes: finite
+/// floats, `Int` only for negatives (a non-negative integer reads back
+/// as `UInt`), strings salted with characters that need escaping.
+fn arb_json(rng: &mut DetRng, depth: usize) -> Json {
+    match rng.below(if depth == 0 { 6 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.bool(0.5)),
+        2 => Json::UInt(rng.next_u64() >> rng.below(64)),
+        3 => Json::Int(-1 - (rng.next_u64() >> 1 >> rng.below(63)) as i64),
+        4 => Json::Float(
+            Some(f64::from_bits(rng.next_u64()))
+                .filter(|f| f.is_finite())
+                .unwrap_or(rng.range_i64(-1_000_000, 1_000_000) as f64 / 7.0),
+        ),
+        5 => {
+            let mut s = arb_string(rng, 12);
+            s.push(*rng.choose(&['"', '\\', '\n', '\t', '\u{1}', '\u{7f}', '🌳']));
+            Json::Str(s)
+        }
+        6 => Json::Arr(
+            (0..rng.range_usize(0, 4))
+                .map(|_| arb_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.range_usize(0, 4))
+                .map(|_| (arb_string(rng, 6), arb_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+#[test]
+fn json_render_parse_roundtrips() {
+    check_with("json_render_parse_roundtrips", 400, |rng| {
+        let v = arb_json(rng, 4);
+        assert_eq!(Json::parse(&v.render()), Ok(v.clone()));
+        assert_eq!(Json::parse(&v.render_pretty()), Ok(v));
+    });
+}
+
+#[test]
+fn json_parser_never_panics() {
+    check_with("json_parser_never_panics", 600, |rng| {
+        let bytes = if rng.bool(0.5) {
+            // A rendered document with one bit flipped.
+            let mut b = arb_json(rng, 3).render_pretty().into_bytes();
+            let i = rng.range_usize(0, b.len());
+            b[i] ^= 1 << rng.below(8);
+            b
+        } else {
+            arb_bytes(rng, 80)
+        };
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    });
+    assert!(Json::parse(&"[{\"a\":".repeat(10_000)).is_err());
+}
+
+// ---- the serve frame path (proto::decode_header / check_body / parse_request) ----
+
+use iixml_serve::proto::{self, ReqOp, HEADER_LEN};
+
+/// Runs a frame through the server's decode path: header, CRC
+/// trailer, opcode, body.
+fn decode_frame(frame: &[u8]) -> Option<proto::Request> {
+    let header: [u8; HEADER_LEN] = frame.get(..HEADER_LEN)?.try_into().ok()?;
+    let (op, len) = proto::decode_header(&header).ok()?;
+    let body = proto::check_body(op, &frame[HEADER_LEN..], len).ok()?;
+    proto::parse_request(ReqOp::from_byte(op)?, body).ok()
+}
+
+#[test]
+fn serve_frame_decoder_never_panics() {
+    check_with("serve_frame_decoder_never_panics", 600, |rng| {
+        // A well-formed frame around a near-valid body for a random
+        // opcode (so every body parser is reached), decoded whole and
+        // then bit-flipped, truncated, or replaced by junk.
+        let session = format!("s{}", rng.below(100));
+        let body = match rng.below(3) {
+            0 => format!("{session}\n{}\n{}", rng.below(80), rng.next_u64()),
+            1 => format!("{session}\n{}", arb_string(rng, 30)),
+            _ => arb_string(rng, 40),
+        };
+        let mut frame = proto::encode_frame(rng.below(12) as u8, body.as_bytes());
+        let _ = decode_frame(&frame);
+        match rng.below(3) {
+            0 => {
+                let i = rng.range_usize(0, frame.len());
+                frame[i] ^= 1 << rng.below(8);
+            }
+            1 => frame.truncate(rng.range_usize(0, frame.len())),
+            _ => frame = [b"IIXQ\x01".as_slice(), &arb_bytes(rng, 40)].concat(),
+        }
+        // Ok or Err at every stage, never a panic.
+        let _ = decode_frame(&frame);
+    });
 }

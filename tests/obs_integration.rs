@@ -134,13 +134,14 @@ fn refine_pipeline_emits_expected_metrics() {
         "per-source fetch latency present (label defaults to 'anon')"
     );
 
-    // Disabled mode records nothing further.
+    // Disabled mode: counters keep counting, histograms record nothing
+    // further.
     iixml_obs::set_enabled(false);
-    let before = iixml_obs::snapshot().counter(keys::CORE_REFINE_STEPS);
+    let before = iixml_obs::snapshot();
     let mut r2 = Refiner::new(&alpha);
     r2.refine(&alpha, &queries[0], &Answer::empty()).unwrap();
-    assert_eq!(
-        iixml_obs::snapshot().counter(keys::CORE_REFINE_STEPS),
-        before
-    );
+    let after = iixml_obs::snapshot();
+    let steps = |s: &iixml_obs::Snapshot| s.counter(keys::CORE_REFINE_STEPS);
+    assert_eq!(steps(&after), steps(&before).map(|n| n + 1));
+    assert_eq!(after.histograms, before.histograms);
 }

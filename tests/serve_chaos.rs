@@ -26,10 +26,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iixml-servechaos-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    testkit::scratch_dir("iixml-servechaos", name)
 }
 
 /// A server config with quotas sized so honest tenants never shed;

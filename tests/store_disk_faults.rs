@@ -36,10 +36,7 @@ const CASES_PER_FAMILY: usize = 40;
 const _: () = assert!(FAMILIES * CASES_PER_FAMILY >= 1000);
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iixml-diskfault-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    iixml_gen::testkit::scratch_dir("iixml-diskfault", name)
 }
 
 /// A family fixes the flush policy and segment size; its cases vary the

@@ -21,10 +21,7 @@ const FAMILIES: usize = 20;
 const CASES_PER_FAMILY: usize = 52;
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iixml-storerec-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    iixml_gen::testkit::scratch_dir("iixml-storerec", name)
 }
 
 fn copy_dir(from: &Path, to: &Path) {
