@@ -1,28 +1,25 @@
-//! CPU-kernel scaling before/after ID-interning, the 16-source
-//! fan-out, and the `BENCH_cpu.json` emitter.
+//! CPU kernels before/after ID-interning, the 16-source fan-out, and
+//! the `BENCH_cpu.json` emitter.
 //!
-//! Two CPU-bound kernels are measured at 1/2/4/8 worker threads
-//! (`iixml_par::set_threads`), each in two variants:
+//! Two CPU-bound kernels are timed once each, in two variants. Both
+//! variants are sequential loops, so the worker width does not enter:
 //!
-//! * **pre** — the preserved structural paths
-//!   (`refine::intersect_reference`, `IncompleteTree::minimize_reference`):
-//!   hash-probed pair tables, nested-`Vec` signatures, per-pair task
-//!   scheduling, fresh join buffers per emitted combination. These are
-//!   the verbatim PR 3 code paths, so the pre row *is* the PR 3
-//!   baseline re-measured on the current host.
-//! * **post** — the shipping kernels: dense/interned ID tables, chunked
-//!   `par_map_chunks` scheduling with per-worker scratch arenas, and an
-//!   inline width-1 path that skips task-vector construction entirely.
+//! * **pre** — the structural paths (`refine::intersect_reference`,
+//!   `IncompleteTree::minimize_reference`): hash-probed pair tables,
+//!   nested-`Vec` signatures, fresh join buffers per emitted
+//!   combination — the pre-interning algorithms re-measured on the
+//!   current host.
+//! * **post** — the shipping kernels: dense/interned ID tables and one
+//!   scratch arena reused across the whole call.
 //!
-//! The committed headline is the **sequential speedup row** — pre@1 ÷
-//! post@1 per kernel — because it holds on any host, including the
-//! single-core CI runners where thread scaling physically cannot show.
-//! On multi-core hosts the 4-thread post-speedup gates too.
+//! The gated headline per kernel is the **sequential speedup** —
+//! pre ÷ post.
 //!
 //! The third group, `fanout16`, fans one query out over 16
-//! latency-simulating sources at the same widths. It is wait-bound, so
-//! its ≥1.5x 4-thread gate holds even on a single core: sleeping
-//! sources overlap regardless of CPU count.
+//! latency-simulating sources at 1/2/4/8 worker threads
+//! (`iixml_par::set_threads`). It is wait-bound, so its ≥1.5x 4-thread
+//! gate holds even on a single core: sleeping sources overlap
+//! regardless of CPU count.
 //!
 //! `cargo run -p iixml-bench --bin report -- --bench-cpu` runs these,
 //! writes the JSON to the workspace root, and applies the in-run gates
@@ -36,61 +33,42 @@ use iixml_obs::json::Json;
 use iixml_webhouse::{LatentSource, Source, Webhouse};
 use std::time::Duration;
 
-/// One measured kernel: pre/post medians (ns) per worker width.
-#[derive(Default)]
+/// One measured kernel: pre/post medians (ns).
 pub struct KernelResult {
     /// Stable kernel key (also the JSON key).
     pub name: &'static str,
     /// Human description of the workload and its size.
     pub workload: String,
-    /// `(threads, median_ns)` of the preserved pre-interning path.
-    pub pre_by_threads: Vec<(usize, f64)>,
-    /// `(threads, median_ns)` of the shipping path.
-    pub post_by_threads: Vec<(usize, f64)>,
+    /// Median of the structural pre-interning path.
+    pub pre_ns: f64,
+    /// Median of the shipping path.
+    pub post_ns: f64,
 }
 
-/// The median at `threads` in a `(threads, median_ns)` row list.
-fn at(rows: &[(usize, f64)], threads: usize) -> f64 {
-    rows.iter()
-        .find(|&&(t, _)| t == threads)
-        .map(|&(_, ns)| ns)
-        .unwrap_or(f64::INFINITY)
-}
-
-/// Thread-scaling speedup of a row list: median@1 ÷ median@t.
+/// Thread-scaling speedup of a `(threads, median_ns)` row list:
+/// median@1 ÷ median@t.
 fn speedup(rows: &[(usize, f64)], threads: usize) -> f64 {
-    at(rows, 1) / at(rows, threads).max(1.0)
+    let at = |t: usize| {
+        rows.iter()
+            .find(|&&(rt, _)| rt == t)
+            .map_or(f64::INFINITY, |&(_, ns)| ns)
+    };
+    at(1) / at(threads).max(1.0)
 }
 
 impl KernelResult {
-    /// Thread-scaling speedup of the shipping path: post@1 ÷ post@t.
-    pub fn post_speedup(&self, threads: usize) -> f64 {
-        speedup(&self.post_by_threads, threads)
-    }
-
-    /// The sequential headline: pre@1 ÷ post@1 — how much faster the
-    /// interned kernel runs on a single thread than the PR 3 code.
+    /// The headline: pre ÷ post — how much faster the interned kernel
+    /// runs than the structural code.
     pub fn seq_speedup(&self) -> f64 {
-        at(&self.pre_by_threads, 1) / at(&self.post_by_threads, 1).max(1.0)
+        self.pre_ns / self.post_ns.max(1.0)
     }
 
     fn to_json(&self) -> Json {
-        let results: Vec<Json> = self
-            .pre_by_threads
-            .iter()
-            .zip(&self.post_by_threads)
-            .map(|(&(t, pre), &(_, post))| {
-                Json::obj()
-                    .set("threads", t)
-                    .set("pre_median_ns", pre)
-                    .set("post_median_ns", post)
-                    .set("post_speedup_vs_1", self.post_speedup(t))
-            })
-            .collect();
         Json::obj()
             .set("name", self.name)
             .set("workload", self.workload.clone())
-            .set("results", results)
+            .set("pre_median_ns", self.pre_ns)
+            .set("post_median_ns", self.post_ns)
             .set("seq_speedup", self.seq_speedup())
     }
 }
@@ -142,29 +120,7 @@ pub const GATES: &str = r#"[
    "claim": "16-source fan-out, 4 threads vs 1"}
 ]"#;
 
-/// Added to [`GATES`] on multi-core hosts only: 4-thread kernel scaling
-/// means nothing where there are no cores to scale onto.
-pub const MULTICORE_GATES: &str = r#"[
-  {"metric": "intersect_t4_speedup", "rule": "at_least", "blessed": 1.5, "scope": "run",
-   "claim": "interned intersect, 4 threads vs 1"},
-  {"metric": "minimize_t4_speedup", "rule": "at_least", "blessed": 1.5, "scope": "run",
-   "claim": "interned minimize, 4 threads vs 1"}
-]"#;
-
-/// The gate blocks a report from a host with `threads_available`
-/// hardware threads carries.
-pub(crate) fn gate_blocks(threads_available: usize) -> [&'static str; 2] {
-    [
-        GATES,
-        if threads_available > 1 {
-            MULTICORE_GATES
-        } else {
-            "[]"
-        },
-    ]
-}
-
-/// Runs both kernels in both variants, and the fan-out, at every width;
+/// Runs both kernels in both variants, and the fan-out at every width;
 /// `quick` shrinks the workloads and sample counts for CI smoke runs.
 pub fn run(quick: bool) -> CpuReport {
     let threads_available = std::thread::available_parallelism()
@@ -177,45 +133,42 @@ pub fn run(quick: bool) -> CpuReport {
     let base = refine_blowup_tree(chain_n);
     let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
     let syms = base.ty().sym_count();
-    let mut intersect = KernelResult {
+    let intersect = KernelResult {
         name: "intersect_product",
         workload: format!(
             "⋊⋉ self-product of the Example 3.2 chain, n = {chain_n} ({syms} × {syms} symbols)"
         ),
-        ..KernelResult::default()
+        pre_ns: median_ns(samples, || {
+            let p = iixml_core::refine::intersect_reference(&base, &base)
+                .expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }),
+        post_ns: median_ns(samples, || {
+            let p =
+                iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }),
     };
-    let mut minimize = KernelResult {
+    let minimize = KernelResult {
         name: "minimize_product",
         workload: format!(
             "bisimulation partition of the chain's self-product ({} symbols)",
             product.ty().sym_count()
         ),
-        ..KernelResult::default()
-    };
-    let mut fanout_by_threads = Vec::new();
-
-    for &t in &THREADS {
-        iixml_par::set_threads(Some(t));
-        let time = |f: &mut dyn FnMut()| (t, median_ns(samples, f));
-        intersect.pre_by_threads.push(time(&mut || {
-            let p = iixml_core::refine::intersect_reference(&base, &base)
-                .expect("self-product is compatible");
-            assert!(p.ty().sym_count() > 0);
-        }));
-        intersect.post_by_threads.push(time(&mut || {
-            let p =
-                iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
-            assert!(p.ty().sym_count() > 0);
-        }));
-        minimize.pre_by_threads.push(time(&mut || {
+        pre_ns: median_ns(samples, || {
             let m = product.minimize_reference();
             assert!(m.ty().sym_count() <= product.ty().sym_count());
-        }));
-        minimize.post_by_threads.push(time(&mut || {
+        }),
+        post_ns: median_ns(samples, || {
             let m = product.minimize();
             assert!(m.ty().sym_count() <= product.ty().sym_count());
-        }));
-        fanout_by_threads.push(time(&mut || fanout_once(16, latency)));
+        }),
+    };
+
+    let mut fanout_by_threads = Vec::new();
+    for &t in &THREADS {
+        iixml_par::set_threads(Some(t));
+        fanout_by_threads.push((t, median_ns(samples, || fanout_once(16, latency))));
     }
     iixml_par::set_threads(None);
 
@@ -261,10 +214,8 @@ impl CpuReport {
             )
             .set("intersect_seq_speedup", self.intersect.seq_speedup())
             .set("minimize_seq_speedup", self.minimize.seq_speedup())
-            .set("intersect_t4_speedup", self.intersect.post_speedup(4))
-            .set("minimize_t4_speedup", self.minimize.post_speedup(4))
             .set("fanout16_t4_speedup", speedup(&self.fanout_by_threads, 4));
-        with_gates(doc, &gate_blocks(self.threads_available))
+        with_gates(doc, &[GATES])
     }
 }
 
@@ -285,11 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_has_every_workload_at_all_widths() {
+    fn quick_report_has_every_workload() {
         let r = run(true);
         for k in [&r.intersect, &r.minimize] {
-            assert_eq!(k.pre_by_threads.len(), THREADS.len());
-            assert_eq!(k.post_by_threads.len(), THREADS.len());
+            assert!(k.pre_ns > 0.0 && k.post_ns > 0.0);
             assert!(k.seq_speedup() > 0.0);
         }
         assert_eq!(r.fanout_by_threads.len(), THREADS.len());

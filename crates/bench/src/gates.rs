@@ -289,9 +289,7 @@ mod tests {
             ("contain", containbench::GATES),
         ] {
             let file = read_bench_json(&root.join(format!("BENCH_{name}.json"))).unwrap();
-            let threads = file.path("threads_available").and_then(Json::as_f64);
-            let extra = cpubench::gate_blocks(threads.unwrap_or(1.0) as usize)[1];
-            let declared = with_gates(Json::obj(), &[gates, extra]);
+            let declared = with_gates(Json::obj(), &[gates]);
             assert_eq!(
                 file.get("gates"),
                 declared.get("gates"),

@@ -1,7 +1,7 @@
 //! The multi-tenant session server.
 //!
-//! Architecture (DESIGN.md §12): acceptor loops run on the `iixml-par`
-//! pool; each accepted connection is handed to a dedicated bounded
+//! Architecture (DESIGN.md §12): one acceptor loop runs on the runner
+//! thread; each accepted connection is handed to a dedicated bounded
 //! thread so one slow client never stalls another. Sessions live in a
 //! sharded map — `shard = fnv("tenant/session") % shards` — each shard
 //! an independent [`Webhouse`] behind its own mutex, so tenants on
@@ -25,7 +25,6 @@
 //! tenant or the fleet.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,8 +66,6 @@ pub struct ServeConfig {
     pub port: u16,
     /// Session-map shard count.
     pub shards: usize,
-    /// Acceptor tasks submitted to the `iixml-par` pool.
-    pub workers: usize,
     /// Per-tenant admission limits.
     pub admission: AdmissionConfig,
     /// Per-connection read deadline (ms).
@@ -89,7 +86,6 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 0,
             shards: 8,
-            workers: 4,
             admission: AdmissionConfig {
                 max_sessions: 64,
                 max_inflight: 8,
@@ -121,7 +117,6 @@ impl ServeConfig {
         ServeConfig {
             port: env_parse(keys::ENV_SERVE_PORT, d.port),
             shards: env_parse(keys::ENV_SERVE_SHARDS, d.shards).max(1),
-            workers: env_parse(keys::ENV_SERVE_WORKERS, d.workers).max(1),
             admission: AdmissionConfig {
                 max_sessions: env_parse(keys::ENV_SERVE_MAX_SESSIONS, d.admission.max_sessions)
                     .max(1),
@@ -256,9 +251,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))
             .map_err(|e| ServeError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(e.to_string()))?;
         let shard_count = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
@@ -280,15 +272,7 @@ impl Server {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
                 .name("iixml-serve-runner".into())
-                .spawn(move || {
-                    let acceptors: Vec<Arc<Inner>> =
-                        (0..inner.cfg.workers).map(|_| Arc::clone(&inner)).collect();
-                    // Acceptor fan-out on the shared pool: at width 1
-                    // a single acceptor drains the listener; at higher
-                    // widths acceptors race on `accept` (it is
-                    // thread-safe on a shared listener).
-                    let _ = iixml_par::par_map(acceptors, 1, |inner| accept_loop(&inner));
-                })
+                .spawn(move || accept_loop(&inner))
                 .map_err(|e| ServeError::Io(e.to_string()))?
         };
         let ticker = {
@@ -315,7 +299,7 @@ impl Server {
         self.inner.listener.local_addr().map_or(0, |a| a.port())
     }
 
-    /// Signals shutdown and waits for acceptors and live connections
+    /// Signals shutdown and waits for the acceptor and live connections
     /// to wind down (bounded by the read deadline), then drives every
     /// journaled session through its durability barrier.
     pub fn shutdown(mut self) -> DrainReport {
@@ -358,7 +342,16 @@ impl Server {
     fn stop_threads(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.runner.take() {
-            let _ = h.join();
+            // The acceptor blocks in `accept`: connect to it so it wakes
+            // and sees the flag, retrying in case a full backlog or a
+            // transient error swallowed an attempt.
+            if let Ok(addr) = self.inner.listener.local_addr() {
+                while !h.is_finished() {
+                    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
+                    thread::sleep(Duration::from_millis(1));
+                }
+                let _ = h.join();
+            }
         }
         if let Some(h) = self.ticker.take() {
             let _ = h.join();
@@ -503,21 +496,21 @@ fn sorted_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(out)
 }
 
-fn accept_loop(inner: &Arc<Inner>) -> u64 {
-    let mut accepted = 0u64;
-    loop {
+/// The one acceptor. `accept` blocks, so a connection is taken as soon
+/// as it arrives; `stop_threads` wakes it with a connection of its own
+/// after raising the shutdown flag. Being the only acceptor also keeps
+/// `dispatch_conn`'s check-then-add on `active_conns` free of races.
+fn accept_loop(inner: &Arc<Inner>) {
+    for conn in inner.listener.incoming() {
         if inner.shutdown.load(Ordering::Acquire) {
-            return accepted;
+            return;
         }
-        match inner.listener.accept() {
-            Ok((stream, _addr)) => {
-                accepted += 1;
+        match conn {
+            Ok(stream) => {
                 OBS_ACCEPTED.incr();
                 dispatch_conn(inner, stream);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // A transient accept error (say, out of descriptors): back off.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }

@@ -3,18 +3,18 @@
 //!
 //! The shipping `refine::intersect` and `IncompleteTree::minimize` run
 //! on interned `u32` ids (dense pair tables, hash-consed atom and
-//! signature interners, chunked parallel maps with per-worker scratch);
-//! the `*_reference` twins are the verbatim pre-interning code. The
+//! signature interners, one reused scratch arena per call); the
+//! `*_reference` twins are the pre-interning structural code. The
 //! determinism argument (DESIGN.md §13) says the two must agree to the
-//! byte at every worker width — these properties pin that end-to-end on
-//! random catalog chains, at widths 1 and 4, plus the id-stability leg:
-//! rebuilding the intern tables from an identical type must reproduce
-//! identical ids (allocation order is first-encounter in symbol order,
-//! never hash-map iteration order).
+//! byte — these properties pin that end-to-end on random catalog
+//! chains, plus the id-stability leg: rebuilding the intern tables from
+//! an identical type must reproduce identical ids (allocation order is
+//! first-encounter in symbol order, never hash-map iteration order).
 //!
-//! CI runs this file across the thread matrix (`IIXML_PAR_THREADS`
-//! 1/4/8), so a width-dependent divergence that slips past the explicit
-//! widths here still fails the build.
+//! Both pipelines are sequential, so the configured worker width must
+//! not matter. The properties still run at widths 1 and 4, and CI runs
+//! this file across the thread matrix (`IIXML_PAR_THREADS` 1/4/8), so a
+//! width-dependent path creeping back into the kernels fails the build.
 
 use iixml_core::intern::InternedType;
 use iixml_core::io::write_incomplete_xml;

@@ -1,10 +1,13 @@
-//! The determinism matrix for the parallel execution layer: every
-//! parallelized path must produce *byte-identical* results at any
-//! worker width. `iixml_par::par_map` places results by input index, so
-//! this holds by construction — these tests pin the contract end-to-end
-//! through the real hot paths (Algorithm Refine's intersect, bisimulation
-//! minimization, mediated completion, and the webhouse fan-out), at
-//! widths 1 (the sequential fallback through the same code path) and 4.
+//! The determinism matrix for the parallel execution layer: every path
+//! must produce *byte-identical* results at any worker width.
+//! `iixml_par::par_map` places results by input index, so the parallel
+//! sites (mediated completion's local queries, the webhouse fan-out)
+//! hold this by construction; Algorithm Refine's intersect and
+//! bisimulation minimization are sequential and must not notice the
+//! width at all (`tests/kernels_sequential.rs` checks they never reach
+//! the pool). These tests pin the contract end-to-end through the real
+//! hot paths, at widths 1 (the sequential fallback through the same
+//! code path) and 4.
 //!
 //! CI additionally runs the whole suite under `IIXML_PAR_THREADS=1` and
 //! `=4` (the thread-matrix job), so any width-dependent behavior that
